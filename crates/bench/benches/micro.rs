@@ -104,6 +104,25 @@ fn bench_futures(h: &Harness) {
         }
         black_box(*f.get());
     });
+    // The dataflow ladder's graph shape with no work in the nodes: 32
+    // lanes x 64 levels, each node joining its three nearest lanes of the
+    // level above, so this is pure per-node join + settle + spawn cost.
+    const LANES: usize = 32;
+    const LEVELS: usize = 64;
+    h.bench("futures/dataflow_fanin3_2048", || {
+        let mut level: Vec<SharedFuture<u64>> = (0..LANES as u64)
+            .map(|i| rt.async_call(move |_| i))
+            .collect();
+        for _ in 1..LEVELS {
+            level = (0..LANES)
+                .map(|l| {
+                    let deps = &level[l.saturating_sub(1)..(l + 2).min(LANES)];
+                    rt.dataflow(deps, |_, v| v.iter().fold(0u64, |a, x| a.wrapping_add(**x)))
+                })
+                .collect();
+        }
+        black_box(when_all(&level).get().len());
+    });
 }
 
 fn bench_scheduler_queues(h: &Harness) {

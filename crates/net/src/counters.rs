@@ -33,10 +33,12 @@
 //! quiescence they must be equal — every `async_remote` future settled,
 //! none twice (a double settle panics the promise).
 //!
-//! `sent`/`bytes/sent` are bumped by the link writer thread at the moment
-//! of delivery; `received`/`bytes/received` by the owning locality when
-//! it dispatches an inbound parcel. `time/average-serialization` is
-//! argument+frame encode time per sent parcel, in nanoseconds.
+//! `sent`/`bytes/sent` are bumped by the link writer thread just before
+//! it hands the frame to the transport (a refused frame is also booked
+//! `dropped`); `received`/`bytes/received` by the owning locality when
+//! it dispatches an inbound parcel, before the settle it causes can wake
+//! a waiter. `time/average-serialization` is argument+frame encode time
+//! per sent parcel, in nanoseconds.
 //! `queue-length` is a live view of frames waiting in this locality's
 //! outbound send queues.
 

@@ -213,17 +213,7 @@ impl LocalityShared {
                 self.parcels.bytes_received.add(n);
                 self.handle_call(call_id, origin, &action, args);
             }
-            Frame::Reply { call_id, outcome } => {
-                if self.handle_reply(call_id, outcome) {
-                    self.parcels.received.incr();
-                    self.parcels.bytes_received.add(n);
-                } else {
-                    // Duplicated reply, or a reply racing a deadline /
-                    // disconnect settle that won. Either way the call is
-                    // settled exactly once already.
-                    self.parcels.deduped.incr();
-                }
-            }
+            Frame::Reply { call_id, outcome } => self.handle_reply(call_id, outcome, n),
             Frame::Goodbye { locality_id } => self.sever_link(locality_id as usize),
             Frame::Ping { nonce } => {
                 // Liveness probe: answer without blocking or severing —
@@ -280,15 +270,22 @@ impl LocalityShared {
         }
     }
 
-    /// Settle the pending call this reply answers. Returns `false` if the
-    /// call was already settled (duplicate / late reply) — the frame is
-    /// then a dedup event, not traffic.
-    fn handle_reply(self: &Arc<Self>, call_id: u64, outcome: Result<Vec<u8>, WireFault>) -> bool {
+    /// Settle the pending call this `n`-byte reply answers. A reply
+    /// whose call is already settled (duplicate, or one racing a
+    /// deadline / disconnect settle that won) is a dedup event, not
+    /// traffic.
+    fn handle_reply(&self, call_id: u64, outcome: Result<Vec<u8>, WireFault>, n: u64) {
         let entry = self.pending.lock().remove(&call_id);
-        let Some(entry) = entry else { return false };
+        let Some(entry) = entry else {
+            self.parcels.deduped.incr();
+            return;
+        };
+        // Book the parcel before settling: the settle wakes the caller,
+        // who may read the books at once and must find them balanced.
+        self.parcels.received.incr();
+        self.parcels.bytes_received.add(n);
         let outcome = outcome.map_err(|fault| task_error_of(fault, entry.dest));
         self.settle_entry(entry, outcome);
-        true
     }
 
     /// The one funnel every settle path goes through, so

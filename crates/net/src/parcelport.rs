@@ -33,10 +33,14 @@
 //! link stalled.
 //!
 //! Counter discipline: the *sending* side bumps `/parcels/count/sent`
-//! and `/parcels/bytes/sent` in the writer thread at the moment of
-//! delivery; the *receiving* locality bumps `received` when it dispatches
-//! the frame. Only parcels proper ([`Frame::is_parcel`]: `Call`/`Reply`)
-//! are counted — handshake and teardown control frames are not traffic.
+//! and `/parcels/bytes/sent` in the writer thread just before handing
+//! the frame to the transport (a transport refusal then also books it as
+//! `dropped`); the *receiving* locality bumps `received` when it
+//! dispatches the frame, before any future it settles can wake a waiter.
+//! Both sides count before the effect is observable, so a waiter woken
+//! by a reply reads books that already balance. Only parcels proper
+//! ([`Frame::is_parcel`]: `Call`/`Reply`) are counted — handshake and
+//! teardown control frames are not traffic.
 
 #![deny(clippy::unwrap_used)]
 
@@ -581,8 +585,8 @@ fn spawn_writer<T: Transport>(link: &Arc<Link>, transport: T, sender_id: usize) 
 }
 
 /// Drain the send queue into the transport until closed/severed, bumping
-/// the owning side's sent counters per delivered parcel. A transport
-/// refusal severs the link.
+/// the owning side's sent counters per parcel before delivering it. A
+/// transport refusal books the parcel as dropped and severs the link.
 ///
 /// Under `parcel-reuse` the loop drains opportunistically: frames are
 /// taken without blocking while the queue has them (letting a
@@ -608,9 +612,19 @@ fn writer_loop<T: Transport>(link: Arc<Link>, mut transport: T) {
         #[cfg(not(feature = "parcel-reuse"))]
         let item = link.queue.pop();
         let Some((bytes, parcel)) = item else { break };
-        let n = bytes.len();
+        // Book the parcel before the peer can see it: the frame may
+        // settle a call whose waiter reads the books the moment it wakes.
+        if parcel {
+            link.counters.sent.incr();
+            link.counters.bytes_sent.add(bytes.len() as u64);
+        }
         match transport.deliver(bytes, parcel) {
             Err(_) => {
+                // Booked as sent above, so book the loss too, the way a
+                // simulated transport books a chaos drop.
+                if parcel {
+                    link.counters.dropped.incr();
+                }
                 link.sever();
                 return;
             }
@@ -622,10 +636,6 @@ fn writer_loop<T: Transport>(link: Arc<Link>, mut transport: T) {
                 #[cfg(not(feature = "parcel-reuse"))]
                 drop(returned);
             }
-        }
-        if parcel {
-            link.counters.sent.incr();
-            link.counters.bytes_sent.add(n as u64);
         }
     }
     // Graceful drain complete: let the transport flush (e.g. TCP pushes

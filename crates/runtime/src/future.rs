@@ -21,9 +21,17 @@
 //! Continuations run inline on the thread that settles the promise,
 //! which on a worker means "as part of the completing task's phase" —
 //! the same attribution HPX uses for cheap continuations.
+//!
+//! Settling is the per-task fixed cost of every dataflow node, so it
+//! stays off the kernel: blocked waiters announce themselves under the
+//! state lock, and a settle with nobody blocked skips the condvar notify
+//! (a futex syscall even when no thread sleeps).
+
+#![deny(clippy::unwrap_used)]
 
 use crate::fault::{self, TaskError};
-use grain_counters::sync::{Condvar, Mutex};
+use grain_counters::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -39,8 +47,18 @@ enum State<T> {
     Faulted(TaskError),
 }
 
+/// Everything guarded by a future's lock.
+struct Slot<T> {
+    state: State<T>,
+    /// Threads parked on `ready` in [`SharedFuture::wait`] or
+    /// [`SharedFuture::wait_timeout`]. Changed and read only under the
+    /// lock, so a settle that reads zero cannot miss a waiter: one that
+    /// blocks later sees the settled state before it would wait.
+    blocked: usize,
+}
+
 struct Shared<T> {
-    state: Mutex<State<T>>,
+    slot: Mutex<Slot<T>>,
     ready: Condvar,
 }
 
@@ -55,17 +73,32 @@ impl<T> Shared<T> {
             Ok(v) => State::Ready(Arc::clone(v)),
             Err(e) => State::Faulted(e.clone()),
         };
-        let continuations = {
-            let mut st = self.state.lock();
-            match std::mem::replace(&mut *st, new_state) {
-                State::Empty(conts) => conts,
+        let (continuations, blocked) = {
+            let mut slot = self.slot.lock();
+            match std::mem::replace(&mut slot.state, new_state) {
+                State::Empty(conts) => (conts, slot.blocked),
                 State::Ready(_) | State::Faulted(_) => panic!("promise fulfilled twice"),
             }
         };
-        self.ready.notify_all();
+        if blocked > 0 {
+            self.ready.notify_all();
+        }
         for c in continuations {
             c(&outcome);
         }
+    }
+
+    /// Park on `ready` until notified (`timeout: None`) or until
+    /// `timeout` elapses, counted in `blocked` for the duration.
+    fn block(&self, slot: &mut MutexGuard<'_, Slot<T>>, timeout: Option<Duration>) {
+        slot.blocked += 1;
+        match timeout {
+            None => self.ready.wait(slot),
+            Some(t) => {
+                self.ready.wait_for(slot, t);
+            }
+        }
+        slot.blocked -= 1;
     }
 }
 
@@ -96,7 +129,10 @@ impl<T> Clone for SharedFuture<T> {
 /// Create a connected promise/future pair.
 pub fn channel<T>() -> (Promise<T>, SharedFuture<T>) {
     let shared = Arc::new(Shared {
-        state: Mutex::new(State::Empty(Vec::new())),
+        slot: Mutex::new(Slot {
+            state: State::Empty(Vec::new()),
+            blocked: 0,
+        }),
         ready: Condvar::new(),
     });
     (
@@ -153,6 +189,12 @@ impl<T> Drop for Promise<T> {
 }
 
 impl<T> SharedFuture<T> {
+    /// Threads currently blocked in `wait` / `wait_timeout`.
+    #[cfg(test)]
+    fn blocked(&self) -> usize {
+        self.shared.slot.lock().blocked
+    }
+
     /// A future that is already fulfilled ("make_ready_future").
     pub fn ready(value: T) -> Self {
         let (p, f) = channel();
@@ -170,7 +212,7 @@ impl<T> SharedFuture<T> {
     /// The settled outcome, if the future has settled: `Some(Ok(value))`
     /// once ready, `Some(Err(error))` once faulted, `None` while pending.
     pub fn try_get(&self) -> Option<Settled<T>> {
-        match &*self.shared.state.lock() {
+        match &self.shared.slot.lock().state {
             State::Ready(v) => Some(Ok(Arc::clone(v))),
             State::Faulted(e) => Some(Err(e.clone())),
             State::Empty(_) => None,
@@ -217,12 +259,12 @@ impl<T> SharedFuture<T> {
     /// Block until the future settles; the fallible form of
     /// [`SharedFuture::get`].
     pub fn wait(&self) -> Settled<T> {
-        let mut st = self.shared.state.lock();
+        let mut slot = self.shared.slot.lock();
         loop {
-            match &*st {
+            match &slot.state {
                 State::Ready(v) => return Ok(Arc::clone(v)),
                 State::Faulted(e) => return Err(e.clone()),
-                State::Empty(_) => self.shared.ready.wait(&mut st),
+                State::Empty(_) => self.shared.block(&mut slot, None),
             }
         }
     }
@@ -232,9 +274,9 @@ impl<T> SharedFuture<T> {
     /// against a stalled producer.
     pub fn wait_timeout(&self, timeout: Duration) -> Settled<T> {
         let deadline = Instant::now() + timeout;
-        let mut st = self.shared.state.lock();
+        let mut slot = self.shared.slot.lock();
         loop {
-            match &*st {
+            match &slot.state {
                 State::Ready(v) => return Ok(Arc::clone(v)),
                 State::Faulted(e) => return Err(e.clone()),
                 State::Empty(_) => {
@@ -242,7 +284,7 @@ impl<T> SharedFuture<T> {
                     if now >= deadline {
                         return Err(TaskError::Timeout { waited: timeout });
                     }
-                    self.shared.ready.wait_for(&mut st, deadline - now);
+                    self.shared.block(&mut slot, Some(deadline - now));
                 }
             }
         }
@@ -252,22 +294,18 @@ impl<T> SharedFuture<T> {
     /// immediately (inline) if already settled, otherwise at settle time
     /// on the settling thread.
     pub fn on_settled(&self, f: impl FnOnce(&Settled<T>) + Send + 'static) {
-        let mut f = Some(f);
-        let run_now = {
-            let mut st = self.shared.state.lock();
-            match &mut *st {
-                State::Ready(v) => Some(Ok(Arc::clone(v))),
-                State::Faulted(e) => Some(Err(e.clone())),
+        let outcome = {
+            let mut slot = self.shared.slot.lock();
+            match &mut slot.state {
+                State::Ready(v) => Ok(Arc::clone(v)),
+                State::Faulted(e) => Err(e.clone()),
                 State::Empty(conts) => {
-                    let f = f.take().unwrap();
                     conts.push(Box::new(f));
-                    None
+                    return;
                 }
             }
         };
-        if let Some(outcome) = run_now {
-            (f.take().unwrap())(&outcome);
-        }
+        f(&outcome);
     }
 
     /// Attach a continuation that runs only if the future becomes ready
@@ -293,60 +331,81 @@ impl<T> SharedFuture<T> {
 pub fn when_all<T: Send + Sync + 'static>(
     futures: &[SharedFuture<T>],
 ) -> SharedFuture<Vec<Arc<T>>> {
-    let n = futures.len();
     let (promise, out) = channel();
-    if n == 0 {
-        promise.set(Vec::new());
-        return out;
-    }
-
-    type GatherState<T> = (Vec<Option<Arc<T>>>, usize, Option<Promise<Vec<Arc<T>>>>);
-    struct Gather<T> {
-        slots: Mutex<GatherState<T>>,
-    }
-    let gather = Arc::new(Gather {
-        slots: Mutex::new((vec![None; n], 0, Some(promise))),
+    on_all_settled(futures, move |joined| match joined {
+        Ok(values) => promise.set(values),
+        Err(e) => promise.fail(e),
     });
-
-    for (i, fut) in futures.iter().enumerate() {
-        let gather = Arc::clone(&gather);
-        fut.on_settled(move |outcome| {
-            match outcome {
-                Ok(v) => {
-                    let finished = {
-                        let mut g = gather.slots.lock();
-                        debug_assert!(g.0[i].is_none(), "when_all slot filled twice");
-                        g.0[i] = Some(Arc::clone(v));
-                        g.1 += 1;
-                        if g.1 == n {
-                            // A faulted sibling may have consumed the
-                            // promise already; then there is nothing to do.
-                            g.2.take()
-                                .map(|p| (p, g.0.iter_mut().map(|s| s.take().unwrap()).collect()))
-                        } else {
-                            None
-                        }
-                    };
-                    if let Some((promise, values)) = finished {
-                        promise.set(values);
-                    }
-                }
-                Err(e) => {
-                    // First fault wins; the conjunction inherits it.
-                    let promise = gather.slots.lock().2.take();
-                    if let Some(promise) = promise {
-                        promise.fail(TaskError::Dependency {
-                            cause: Arc::new(e.clone()),
-                        });
-                    }
-                }
-            }
-        });
-    }
     out
 }
 
+/// The one join behind [`when_all`] and dataflow: run `k` exactly once,
+/// with `Ok(values in input order)` when the last input becomes ready, or
+/// with `Err(TaskError::Dependency { cause })` on the first input fault.
+/// `k` runs inline on the thread that settles the deciding input (or on
+/// this thread, if that already happened; with no inputs, immediately).
+///
+/// The join is an atomic countdown over the inputs themselves: a value
+/// only decrements it, and the input that takes it to zero reads every
+/// value back from its (settled) future, so no gather buffer or
+/// intermediate future is built. A faulted input never decrements, so
+/// the countdown reaches zero only if every input became ready; the
+/// `Option` around `k` arbitrates between several faults. The countdown
+/// publishes no data: values are read back under each input's own lock,
+/// which orders them after their producers. `AcqRel` on it is belt and
+/// braces, not load-bearing.
+pub(crate) fn on_all_settled<T, K>(inputs: &[SharedFuture<T>], k: K)
+where
+    T: Send + Sync + 'static,
+    K: FnOnce(Result<Vec<Arc<T>>, TaskError>) + Send + 'static,
+{
+    struct Join<T, K> {
+        inputs: Vec<SharedFuture<T>>,
+        remaining: AtomicUsize,
+        k: Mutex<Option<K>>,
+    }
+    impl<T, K: FnOnce(Result<Vec<Arc<T>>, TaskError>)> Join<T, K> {
+        fn finish(&self, joined: Result<Vec<Arc<T>>, TaskError>) {
+            let k = self.k.lock().take();
+            if let Some(k) = k {
+                k(joined);
+            }
+        }
+    }
+
+    if inputs.is_empty() {
+        k(Ok(Vec::new()));
+        return;
+    }
+    let join = Arc::new(Join {
+        inputs: inputs.to_vec(),
+        remaining: AtomicUsize::new(inputs.len()),
+        k: Mutex::new(Some(k)),
+    });
+    for input in inputs {
+        let join = Arc::clone(&join);
+        input.on_settled(move |outcome| match outcome {
+            Ok(_) => {
+                if join.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+                    // Every input is ready, so every read hits a value;
+                    // the `BrokenPromise` arm is only there to stay total.
+                    let values = join
+                        .inputs
+                        .iter()
+                        .map(|f| f.try_get().unwrap_or(Err(TaskError::BrokenPromise)))
+                        .collect();
+                    join.finish(values);
+                }
+            }
+            Err(e) => join.finish(Err(TaskError::Dependency {
+                cause: Arc::new(e.clone()),
+            })),
+        });
+    }
+}
+
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -576,5 +635,156 @@ mod tests {
         }
         let vals: Vec<usize> = out.get().iter().map(|a| **a).collect();
         assert_eq!(vals, (0..32).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn settle_wakes_every_waiter_left_after_a_timeout() {
+        let (p, f) = channel::<u32>();
+        let waiting = {
+            let f = f.clone();
+            std::thread::spawn(move || f.wait())
+        };
+        let patient = {
+            let f = f.clone();
+            std::thread::spawn(move || f.wait_timeout(Duration::from_secs(30)))
+        };
+        let hasty = {
+            let f = f.clone();
+            std::thread::spawn(move || f.wait_timeout(Duration::from_millis(20)))
+        };
+        let spin_until = |n: usize| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while f.blocked() != n {
+                assert!(Instant::now() < deadline, "never saw {n} blocked waiters");
+                std::thread::yield_now();
+            }
+        };
+        spin_until(3);
+        assert!(matches!(
+            hasty.join().unwrap(),
+            Err(TaskError::Timeout { .. })
+        ));
+        // The timed-out waiter must take its mark with it, and the two
+        // still parked must keep theirs, or the settle below skips its
+        // notify and strands them.
+        spin_until(2);
+        p.set(5);
+        assert_eq!(*waiting.join().unwrap().unwrap(), 5);
+        assert_eq!(*patient.join().unwrap().unwrap(), 5);
+        assert_eq!(f.blocked(), 0);
+    }
+
+    /// What an `on_all_settled` continuation is handed.
+    type Join = Result<Vec<Arc<i32>>, TaskError>;
+    /// Every call a [`recorder`] continuation got, values unwrapped.
+    type Calls = Arc<Mutex<Vec<Result<Vec<i32>, TaskError>>>>;
+
+    /// An `on_all_settled` continuation that records every call it gets.
+    fn recorder() -> (Calls, impl FnOnce(Join) + Send + 'static) {
+        let calls: Calls = Arc::new(Mutex::new(Vec::new()));
+        let c = Arc::clone(&calls);
+        let k = move |joined: Join| {
+            c.lock()
+                .push(joined.map(|vs| vs.iter().map(|v| **v).collect()));
+        };
+        (calls, k)
+    }
+
+    #[test]
+    fn on_all_settled_with_no_inputs_runs_at_once() {
+        let (calls, k) = recorder();
+        on_all_settled::<i32, _>(&[], k);
+        assert_eq!(*calls.lock(), vec![Ok(vec![])]);
+    }
+
+    #[test]
+    fn on_all_settled_with_settled_inputs_runs_inline() {
+        let (calls, k) = recorder();
+        on_all_settled(&[SharedFuture::ready(1), SharedFuture::ready(2)], k);
+        assert_eq!(*calls.lock(), vec![Ok(vec![1, 2])]);
+
+        let (calls, k) = recorder();
+        on_all_settled(
+            &[
+                SharedFuture::ready(1),
+                SharedFuture::faulted(TaskError::Cancelled),
+            ],
+            k,
+        );
+        let calls = calls.lock();
+        assert_eq!(calls.len(), 1);
+        let err = calls[0].clone().unwrap_err();
+        assert_eq!(err.root_cause(), &TaskError::Cancelled);
+        assert_eq!(err.chain_len(), 1);
+    }
+
+    #[test]
+    fn on_all_settled_fault_after_values_runs_once() {
+        let (p1, f1) = channel();
+        let (p2, f2) = channel();
+        let (p3, f3) = channel::<i32>();
+        let (calls, k) = recorder();
+        on_all_settled(&[f1, f2, f3], k);
+        p1.set(1);
+        p2.set(2);
+        assert!(calls.lock().is_empty());
+        p3.fail(TaskError::BrokenPromise);
+        let calls = calls.lock();
+        assert_eq!(calls.len(), 1);
+        let err = calls[0].clone().unwrap_err();
+        assert_eq!(err.root_cause(), &TaskError::BrokenPromise);
+        assert_eq!(err.chain_len(), 1, "one Dependency wrap");
+    }
+
+    #[test]
+    fn on_all_settled_value_after_fault_runs_once() {
+        let (p1, f1) = channel::<i32>();
+        let (p2, f2) = channel();
+        let (p3, f3) = channel::<i32>();
+        let (calls, k) = recorder();
+        on_all_settled(&[f1, f2, f3], k);
+        p1.fail(TaskError::Cancelled);
+        p2.set(2);
+        p3.fail(TaskError::BrokenPromise);
+        let calls = calls.lock();
+        assert_eq!(calls.len(), 1, "later value and fault must not re-run k");
+        assert_eq!(
+            calls[0].clone().unwrap_err().root_cause(),
+            &TaskError::Cancelled,
+            "the first fault wins"
+        );
+    }
+
+    #[test]
+    fn on_all_settled_concurrent_settlers_run_k_once() {
+        for round in 0..50 {
+            let pairs: Vec<_> = (0..8).map(|_| channel::<i32>()).collect();
+            let futures: Vec<_> = pairs.iter().map(|(_, f)| f.clone()).collect();
+            let (calls, k) = recorder();
+            on_all_settled(&futures, k);
+            let handles: Vec<_> = pairs
+                .into_iter()
+                .enumerate()
+                .map(|(i, (p, _))| {
+                    std::thread::spawn(move || {
+                        if i == round % 8 && round % 2 == 1 {
+                            p.fail(TaskError::Cancelled);
+                        } else {
+                            p.set(i as i32);
+                        }
+                    })
+                })
+                .collect();
+            for h in handles {
+                h.join().unwrap();
+            }
+            let calls = calls.lock();
+            assert_eq!(calls.len(), 1);
+            if round % 2 == 1 {
+                assert!(calls[0].is_err());
+            } else {
+                assert_eq!(calls[0], Ok((0..8).collect::<Vec<_>>()));
+            }
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! The runtime: worker pool, spawn paths, task context, termination.
 
 use crate::fault::{TaskError, WatchdogConfig};
-use crate::future::{channel, when_all, SharedFuture};
+use crate::future::{channel, on_all_settled, SharedFuture};
 use crate::group::{CancelToken, TaskGroup};
 use crate::scheduler::{Scheduler, SchedulerKind};
 use crate::task::{Poll, Priority, StagedTask, Task, TaskId, TaskIdAllocator, TaskState};
@@ -286,19 +286,16 @@ impl Inner {
         self.dormant.fetch_add(1, Ordering::SeqCst);
         match group {
             None => {
-                when_all(deps).on_settled(move |outcome| {
+                on_all_settled(deps, move |joined| {
                     inner.dormant.fetch_sub(1, Ordering::SeqCst);
-                    match outcome {
+                    match joined {
                         Ok(vals) => {
-                            let vals: Vec<Arc<T>> = vals.iter().map(Arc::clone).collect();
                             inner.spawn_once(priority, move |ctx| promise.set(f(ctx, vals)));
                         }
-                        Err(e) => {
-                            // `when_all` already wrapped the input fault in
-                            // a Dependency cause — pass it along unchanged
-                            // (one wrap per dependency hop).
-                            promise.fail(e.clone());
-                        }
+                        // The join already wrapped the input fault in a
+                        // Dependency cause — pass it along unchanged (one
+                        // wrap per dependency hop).
+                        Err(e) => promise.fail(e),
                     }
                 });
             }
@@ -316,7 +313,7 @@ impl Inner {
                         }
                     });
                 }
-                when_all(deps).on_settled(move |outcome| {
+                on_all_settled(deps, move |joined| {
                     if claimed.swap(true, Ordering::SeqCst) {
                         // The cancel hook won the race and already retired
                         // this reservation; settle the output so waiters
@@ -330,9 +327,8 @@ impl Inner {
                         promise.fail(TaskError::Cancelled);
                         return;
                     }
-                    match outcome {
+                    match joined {
                         Ok(vals) => {
-                            let vals: Vec<Arc<T>> = vals.iter().map(Arc::clone).collect();
                             let id = inner.ids.allocate();
                             // The reservation already entered the group;
                             // hand it to the staged task without entering
@@ -349,7 +345,7 @@ impl Inner {
                             // never runs, the group records the fault, and
                             // the output carries the cause chain onward.
                             g.exit_faulted(e.clone());
-                            promise.fail(e.clone());
+                            promise.fail(e);
                         }
                     }
                 });

@@ -48,6 +48,30 @@ fn mid_dag_panic_propagates_a_cause_chain() {
 }
 
 #[test]
+fn faulting_dataflow_chain_wraps_once_per_hop() {
+    // Ungrouped and grouped nodes share one join; either way each hop
+    // adds exactly one Dependency wrap — never a second one from an
+    // intermediate conjunction future.
+    let rt = two_workers();
+    let group = TaskGroup::new();
+    let root = rt.async_call(|_| -> u32 { panic!("chain root") });
+    let mut ungrouped = root.clone();
+    let mut grouped = root;
+    for hop in 1..=4 {
+        ungrouped = rt.dataflow(&[ungrouped], |_, v| *v[0] + 1);
+        grouped = rt.dataflow_in(&group, Priority::Normal, &[grouped], |_, v| *v[0] + 1);
+        for tail in [&ungrouped, &grouped] {
+            let err = tail.wait().expect_err("fault must reach every hop");
+            assert_eq!(err.chain_len(), hop, "one wrap per hop, got {err}");
+            assert!(matches!(err.root_cause(), TaskError::Panicked { .. }));
+        }
+    }
+    assert!(group.wait_timeout(Duration::from_secs(5)));
+    assert_eq!(group.faulted(), 4, "every grouped hop records the fault");
+    rt.wait_idle();
+}
+
+#[test]
 fn runtime_survives_every_task_panicking() {
     let rt = Runtime::new(RuntimeConfig::with_workers(4));
     let futs: Vec<_> = (0..32u32)

@@ -149,6 +149,17 @@ fn open_breaker_denies_the_retry_budget() {
     config.breaker.open_for = Duration::from_secs(30); // never cools in-test
     let service = JobService::new(config);
 
+    // Hold the only worker until all three jobs are past the submit-time
+    // breaker check. Otherwise the first two faults can trip the breaker
+    // between two submits, and the third job is (rightly) rejected
+    // instead of admitted.
+    let release = Arc::new(AtomicBool::new(false));
+    let r = Arc::clone(&release);
+    let gate = service.submit(JobSpec::new("gate", "steady"), move |_| {
+        while !r.load(Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_micros(200));
+        }
+    });
     let jobs: Vec<_> = (0..3)
         .map(|i| {
             service.submit(
@@ -163,6 +174,8 @@ fn open_breaker_denies_the_retry_budget() {
             )
         })
         .collect();
+    release.store(true, Ordering::SeqCst);
+    assert_eq!(gate.wait().state, JobState::Completed);
     for j in &jobs {
         assert_eq!(j.wait().state, JobState::Failed);
     }
