@@ -23,16 +23,20 @@
 //! the same attribution HPX uses for cheap continuations.
 //!
 //! Settling is the per-task fixed cost of every dataflow node, so it
-//! stays off the kernel: blocked waiters announce themselves under the
-//! state lock, and a settle with nobody blocked skips the condvar notify
-//! (a futex syscall even when no thread sleeps).
+//! stays off the kernel and mostly off the lock: the outcome is published
+//! once into a write-once cell, and every read of a settled future
+//! (`try_get`, `is_ready`, attaching a waiter, a join's read-back) is a
+//! lock-free load of that cell. The lock only guards the waiter list and
+//! the count of blocked threads; a settle with nobody blocked skips the
+//! condvar notify (a futex syscall even when no thread sleeps).
 
 #![deny(clippy::unwrap_used)]
 
 use crate::fault::{self, TaskError};
 use grain_counters::sync::{Condvar, Mutex, MutexGuard};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::cell::UnsafeCell;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// The settled outcome of a future: a shared value or the task error.
@@ -41,50 +45,109 @@ pub type Settled<T> = Result<Arc<T>, TaskError>;
 /// Callback attached to a future; observes the settled outcome.
 type Continuation<T> = Box<dyn FnOnce(&Settled<T>) + Send>;
 
-enum State<T> {
-    Empty(Vec<Continuation<T>>),
-    Ready(Arc<T>),
-    Faulted(TaskError),
+/// Something waiting on a future, run once with its outcome.
+enum Waiter<T> {
+    /// A continuation attached with [`SharedFuture::on_settled`].
+    Callback(Continuation<T>),
+    /// One input edge of a [`Join`]: a reference count, not an allocation.
+    Edge(Arc<dyn Arrive<T>>),
+}
+
+impl<T> Waiter<T> {
+    fn run(self, outcome: &Settled<T>) {
+        match self {
+            Waiter::Callback(f) => f(outcome),
+            Waiter::Edge(join) => join.arrive(outcome),
+        }
+    }
 }
 
 /// Everything guarded by a future's lock.
 struct Slot<T> {
-    state: State<T>,
+    /// Waiters attached before the outcome was published; drained once
+    /// by the settle.
+    waiters: Vec<Waiter<T>>,
     /// Threads parked on `ready` in [`SharedFuture::wait`] or
     /// [`SharedFuture::wait_timeout`]. Changed and read only under the
     /// lock, so a settle that reads zero cannot miss a waiter: one that
-    /// blocks later sees the settled state before it would wait.
+    /// blocks later sees the published outcome before it would wait.
     blocked: usize,
 }
 
 struct Shared<T> {
+    /// The outcome, written once by the settle *before* it drains the
+    /// waiters under the lock. Whoever finds it empty under the lock is
+    /// therefore ahead of the drain and will be served by it.
+    outcome: OnceLock<Settled<T>>,
     slot: Mutex<Slot<T>>,
     ready: Condvar,
 }
 
 impl<T> Shared<T> {
     /// Settle the future (value or error), waking blocked waiters and
-    /// running all attached continuations inline on this thread.
+    /// running all attached waiters inline on this thread.
     ///
     /// # Panics
     /// Panics if the future was already settled.
     fn settle(&self, outcome: Settled<T>) {
-        let new_state = match &outcome {
-            Ok(v) => State::Ready(Arc::clone(v)),
-            Err(e) => State::Faulted(e.clone()),
-        };
-        let (continuations, blocked) = {
+        if self.outcome.set(outcome).is_err() {
+            panic!("promise fulfilled twice");
+        }
+        let (waiters, blocked) = {
             let mut slot = self.slot.lock();
-            match std::mem::replace(&mut slot.state, new_state) {
-                State::Empty(conts) => (conts, slot.blocked),
-                State::Ready(_) | State::Faulted(_) => panic!("promise fulfilled twice"),
-            }
+            (std::mem::take(&mut slot.waiters), slot.blocked)
         };
         if blocked > 0 {
             self.ready.notify_all();
         }
-        for c in continuations {
-            c(&outcome);
+        if let Some(outcome) = self.outcome.get() {
+            for w in waiters {
+                w.run(outcome);
+            }
+        }
+    }
+
+    /// Run `waiter` with the outcome: at once (inline) if it is already
+    /// published, otherwise at settle time on the settling thread.
+    fn attach(&self, waiter: Waiter<T>) {
+        let outcome = match self.outcome.get() {
+            Some(outcome) => outcome,
+            None => {
+                let mut slot = self.slot.lock();
+                match self.outcome.get() {
+                    Some(outcome) => outcome,
+                    None => {
+                        slot.waiters.push(waiter);
+                        return;
+                    }
+                }
+            }
+        };
+        waiter.run(outcome);
+    }
+
+    /// Block until the outcome is published (`timeout: None`) or until
+    /// `deadline`, whichever comes first; `None` on expiry.
+    fn wait_until(&self, deadline: Option<Instant>) -> Option<&Settled<T>> {
+        if let Some(outcome) = self.outcome.get() {
+            return Some(outcome);
+        }
+        let mut slot = self.slot.lock();
+        loop {
+            if let Some(outcome) = self.outcome.get() {
+                return Some(outcome);
+            }
+            let timeout = match deadline {
+                None => None,
+                Some(d) => {
+                    let now = Instant::now();
+                    if now >= d {
+                        return None;
+                    }
+                    Some(d - now)
+                }
+            };
+            self.block(&mut slot, timeout);
         }
     }
 
@@ -129,8 +192,9 @@ impl<T> Clone for SharedFuture<T> {
 /// Create a connected promise/future pair.
 pub fn channel<T>() -> (Promise<T>, SharedFuture<T>) {
     let shared = Arc::new(Shared {
+        outcome: OnceLock::new(),
         slot: Mutex::new(Slot {
-            state: State::Empty(Vec::new()),
+            waiters: Vec::new(),
             blocked: 0,
         }),
         ready: Condvar::new(),
@@ -211,29 +275,26 @@ impl<T> SharedFuture<T> {
 
     /// The settled outcome, if the future has settled: `Some(Ok(value))`
     /// once ready, `Some(Err(error))` once faulted, `None` while pending.
+    /// Never takes a lock.
     pub fn try_get(&self) -> Option<Settled<T>> {
-        match &self.shared.slot.lock().state {
-            State::Ready(v) => Some(Ok(Arc::clone(v))),
-            State::Faulted(e) => Some(Err(e.clone())),
-            State::Empty(_) => None,
-        }
+        self.shared.outcome.get().cloned()
     }
 
     /// True once the future has settled (ready *or* faulted) — i.e. a
     /// suspended task waiting on it would be resumed.
     pub fn is_ready(&self) -> bool {
-        self.try_get().is_some()
+        self.shared.outcome.get().is_some()
     }
 
     /// True if the future settled with an error.
     pub fn is_faulted(&self) -> bool {
-        matches!(self.try_get(), Some(Err(_)))
+        matches!(self.shared.outcome.get(), Some(Err(_)))
     }
 
     /// The error the future faulted with, if it did.
     pub fn error(&self) -> Option<TaskError> {
-        match self.try_get() {
-            Some(Err(e)) => Some(e),
+        match self.shared.outcome.get() {
+            Some(Err(e)) => Some(e.clone()),
             _ => None,
         }
     }
@@ -259,13 +320,9 @@ impl<T> SharedFuture<T> {
     /// Block until the future settles; the fallible form of
     /// [`SharedFuture::get`].
     pub fn wait(&self) -> Settled<T> {
-        let mut slot = self.shared.slot.lock();
-        loop {
-            match &slot.state {
-                State::Ready(v) => return Ok(Arc::clone(v)),
-                State::Faulted(e) => return Err(e.clone()),
-                State::Empty(_) => self.shared.block(&mut slot, None),
-            }
+        match self.shared.wait_until(None) {
+            Some(outcome) => outcome.clone(),
+            None => unreachable!("a wait without a deadline cannot expire"),
         }
     }
 
@@ -273,20 +330,9 @@ impl<T> SharedFuture<T> {
     /// `Err(TaskError::Timeout)` on expiry — the only blocking join safe
     /// against a stalled producer.
     pub fn wait_timeout(&self, timeout: Duration) -> Settled<T> {
-        let deadline = Instant::now() + timeout;
-        let mut slot = self.shared.slot.lock();
-        loop {
-            match &slot.state {
-                State::Ready(v) => return Ok(Arc::clone(v)),
-                State::Faulted(e) => return Err(e.clone()),
-                State::Empty(_) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Err(TaskError::Timeout { waited: timeout });
-                    }
-                    self.shared.block(&mut slot, Some(deadline - now));
-                }
-            }
+        match self.shared.wait_until(Some(Instant::now() + timeout)) {
+            Some(outcome) => outcome.clone(),
+            None => Err(TaskError::Timeout { waited: timeout }),
         }
     }
 
@@ -294,18 +340,7 @@ impl<T> SharedFuture<T> {
     /// immediately (inline) if already settled, otherwise at settle time
     /// on the settling thread.
     pub fn on_settled(&self, f: impl FnOnce(&Settled<T>) + Send + 'static) {
-        let outcome = {
-            let mut slot = self.shared.slot.lock();
-            match &mut slot.state {
-                State::Ready(v) => Ok(Arc::clone(v)),
-                State::Faulted(e) => Err(e.clone()),
-                State::Empty(conts) => {
-                    conts.push(Box::new(f));
-                    return;
-                }
-            }
-        };
-        f(&outcome);
+        self.shared.attach(Waiter::Callback(Box::new(f)));
     }
 
     /// Attach a continuation that runs only if the future becomes ready
@@ -331,76 +366,174 @@ impl<T> SharedFuture<T> {
 pub fn when_all<T: Send + Sync + 'static>(
     futures: &[SharedFuture<T>],
 ) -> SharedFuture<Vec<Arc<T>>> {
-    let (promise, out) = channel();
-    on_all_settled(futures, move |joined| match joined {
-        Ok(values) => promise.set(values),
-        Err(e) => promise.fail(e),
-    });
-    out
-}
-
-/// The one join behind [`when_all`] and dataflow: run `k` exactly once,
-/// with `Ok(values in input order)` when the last input becomes ready, or
-/// with `Err(TaskError::Dependency { cause })` on the first input fault.
-/// `k` runs inline on the thread that settles the deciding input (or on
-/// this thread, if that already happened; with no inputs, immediately).
-///
-/// The join is an atomic countdown over the inputs themselves: a value
-/// only decrements it, and the input that takes it to zero reads every
-/// value back from its (settled) future, so no gather buffer or
-/// intermediate future is built. A faulted input never decrements, so
-/// the countdown reaches zero only if every input became ready; the
-/// `Option` around `k` arbitrates between several faults. The countdown
-/// publishes no data: values are read back under each input's own lock,
-/// which orders them after their producers. `AcqRel` on it is belt and
-/// braces, not load-bearing.
-pub(crate) fn on_all_settled<T, K>(inputs: &[SharedFuture<T>], k: K)
-where
-    T: Send + Sync + 'static,
-    K: FnOnce(Result<Vec<Arc<T>>, TaskError>) + Send + 'static,
-{
-    struct Join<T, K> {
-        inputs: Vec<SharedFuture<T>>,
-        remaining: AtomicUsize,
-        k: Mutex<Option<K>>,
-    }
-    impl<T, K: FnOnce(Result<Vec<Arc<T>>, TaskError>)> Join<T, K> {
-        fn finish(&self, joined: Result<Vec<Arc<T>>, TaskError>) {
-            let k = self.k.lock().take();
-            if let Some(k) = k {
-                k(joined);
+    /// The conjunction's continuation: settle the output future.
+    struct Gather<V>(TakeOnce<Promise<Vec<Arc<V>>>>);
+    impl<V: Send + Sync + 'static> Then<V> for Gather<V> {
+        fn then(join: Arc<Join<V, Self>>, joined: Result<(), TaskError>) {
+            if let Some(promise) = join.then.0.take() {
+                match joined.and_then(|()| join.values()) {
+                    Ok(values) => promise.set(values),
+                    Err(e) => promise.fail(e),
+                }
             }
         }
     }
 
-    if inputs.is_empty() {
-        k(Ok(Vec::new()));
-        return;
+    let (promise, out) = channel();
+    Join::start(futures, Gather(TakeOnce::new(promise)));
+    out
+}
+
+/// What a [`Join`] does once it is decided: the continuation half of the
+/// one countdown join behind [`when_all`] and dataflow.
+pub(crate) trait Then<T>: Send + Sync + Sized + 'static {
+    /// Runs exactly once, inline on the thread that settles the deciding
+    /// input (or on the starting thread, if that already happened; with
+    /// no inputs, at once): with `Ok(())` when every input is ready —
+    /// read the values back with [`Join::values`] — or with
+    /// `Err(TaskError::Dependency { cause })` on the first input fault.
+    /// `join` is the join itself, so the continuation may keep it (a
+    /// dataflow node is queued as its own task frame).
+    fn then(join: Arc<Join<T, Self>>, joined: Result<(), TaskError>);
+}
+
+/// One input edge's target: told the outcome of the input it waits on.
+trait Arrive<T>: Send + Sync {
+    fn arrive(self: Arc<Self>, outcome: &Settled<T>);
+}
+
+/// The countdown join over a set of input futures.
+///
+/// It registers on each input as an [`Waiter::Edge`] — a reference-count
+/// increment, not a boxed closure. A value only decrements the countdown,
+/// and the input that takes it to zero decides the join; the values are
+/// read back from the (settled) inputs, lock-free, so no gather buffer or
+/// intermediate future is built. A faulted input never decrements, so the
+/// countdown reaches zero only if every input became ready, and the
+/// `faulted` flag arbitrates between several faults: the join is decided
+/// exactly once. `AcqRel` on the countdown orders every input's published
+/// outcome before the deciding thread's read-back.
+pub(crate) struct Join<T, K> {
+    inputs: Inputs<T>,
+    remaining: AtomicUsize,
+    faulted: AtomicBool,
+    /// The continuation and whatever state it carries.
+    pub(crate) then: K,
+}
+
+impl<T: Send + Sync + 'static, K: Then<T>> Join<T, K> {
+    /// Build the join over `inputs` and register it on each of them.
+    pub(crate) fn start(inputs: &[SharedFuture<T>], then: K) {
+        let join = Arc::new(Join {
+            inputs: Inputs::new(inputs),
+            remaining: AtomicUsize::new(inputs.len()),
+            faulted: AtomicBool::new(false),
+            then,
+        });
+        let Some((last, rest)) = inputs.split_last() else {
+            K::then(join, Ok(()));
+            return;
+        };
+        for input in rest {
+            input.shared.attach(Waiter::Edge(Arc::clone(&join) as _));
+        }
+        last.shared.attach(Waiter::Edge(join));
     }
-    let join = Arc::new(Join {
-        inputs: inputs.to_vec(),
-        remaining: AtomicUsize::new(inputs.len()),
-        k: Mutex::new(Some(k)),
-    });
-    for input in inputs {
-        let join = Arc::clone(&join);
-        input.on_settled(move |outcome| match outcome {
+
+    /// The input values, in input order. Call only once the join decided
+    /// `Ok`; the error arm exists to stay total.
+    pub(crate) fn values(&self) -> Result<Vec<Arc<T>>, TaskError> {
+        self.inputs
+            .slots()
+            .iter()
+            .flatten()
+            .map(|f| match f.shared.outcome.get() {
+                Some(outcome) => outcome.clone(),
+                None => Err(TaskError::BrokenPromise),
+            })
+            .collect()
+    }
+}
+
+impl<T: Send + Sync + 'static, K: Then<T>> Arrive<T> for Join<T, K> {
+    fn arrive(self: Arc<Self>, outcome: &Settled<T>) {
+        match outcome {
             Ok(_) => {
-                if join.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    // Every input is ready, so every read hits a value;
-                    // the `BrokenPromise` arm is only there to stay total.
-                    let values = join
-                        .inputs
-                        .iter()
-                        .map(|f| f.try_get().unwrap_or(Err(TaskError::BrokenPromise)))
-                        .collect();
-                    join.finish(values);
+                if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+                    K::then(self, Ok(()));
                 }
             }
-            Err(e) => join.finish(Err(TaskError::Dependency {
-                cause: Arc::new(e.clone()),
-            })),
-        });
+            Err(e) => {
+                if !self.faulted.swap(true, Ordering::AcqRel) {
+                    let cause = Arc::new(e.clone());
+                    K::then(self, Err(TaskError::Dependency { cause }));
+                }
+            }
+        }
+    }
+}
+
+/// Fan-in a join keeps inline, in its own allocation: the stencil's 3
+/// and every smaller one, with room for one more.
+const INLINE_INPUTS: usize = 4;
+
+/// A join's copy of its input futures: inline up to [`INLINE_INPUTS`],
+/// so the common node's frame is a single allocation, on the heap above.
+enum Inputs<T> {
+    Inline([Option<SharedFuture<T>>; INLINE_INPUTS]),
+    Heap(Box<[Option<SharedFuture<T>>]>),
+}
+
+impl<T> Inputs<T> {
+    fn new(inputs: &[SharedFuture<T>]) -> Self {
+        if inputs.len() > INLINE_INPUTS {
+            return Inputs::Heap(inputs.iter().cloned().map(Some).collect());
+        }
+        let mut inline = [const { None }; INLINE_INPUTS];
+        for (slot, f) in inline.iter_mut().zip(inputs) {
+            *slot = Some(f.clone());
+        }
+        Inputs::Inline(inline)
+    }
+
+    /// The inputs in order; inline storage pads with `None` at the end.
+    fn slots(&self) -> &[Option<SharedFuture<T>>] {
+        match self {
+            Inputs::Inline(inline) => inline,
+            Inputs::Heap(heap) => heap,
+        }
+    }
+}
+
+/// A value handed out at most once, to whichever thread claims it first:
+/// the lock-free hand-off of a join continuation's owned state (a
+/// promise, a task body) from behind a shared `Arc`.
+pub(crate) struct TakeOnce<V> {
+    taken: AtomicBool,
+    value: UnsafeCell<Option<V>>,
+}
+
+// SAFETY: `value` is only reached through `take`, which the `taken` swap
+// admits exactly one thread to; the cell moves `V` to that thread, so
+// sharing the cell is as safe as sending `V`.
+unsafe impl<V: Send> Sync for TakeOnce<V> {}
+
+impl<V> TakeOnce<V> {
+    pub(crate) fn new(value: V) -> Self {
+        Self {
+            taken: AtomicBool::new(false),
+            value: UnsafeCell::new(Some(value)),
+        }
+    }
+
+    /// The value, to the first caller only; `None` to every later one.
+    pub(crate) fn take(&self) -> Option<V> {
+        if self.taken.swap(true, Ordering::Acquire) {
+            return None;
+        }
+        // SAFETY: the swap above let exactly one caller through, and no
+        // other code touches `value` while the cell is shared.
+        unsafe { (*self.value.get()).take() }
     }
 }
 
@@ -674,37 +807,110 @@ mod tests {
         assert_eq!(f.blocked(), 0);
     }
 
-    /// What an `on_all_settled` continuation is handed.
-    type Join = Result<Vec<Arc<i32>>, TaskError>;
-    /// Every call a [`recorder`] continuation got, values unwrapped.
+    /// Callbacks and join edges share one waiter list; a settle runs each
+    /// of them exactly once, in attach order, and a waiter attached after
+    /// the settle runs inline, once.
+    #[test]
+    fn mixed_waiters_each_run_exactly_once() {
+        let (p, f) = channel::<i32>();
+        let runs: Vec<Arc<AtomicUsize>> = (0..9).map(|_| Arc::new(AtomicUsize::new(0))).collect();
+        let mut joins = Vec::new();
+        for (i, hits) in runs.iter().enumerate() {
+            let hits = Arc::clone(hits);
+            match i % 3 {
+                0 => f.on_settled(move |o| {
+                    assert_eq!(**o.as_ref().unwrap(), 4);
+                    hits.fetch_add(1, Ordering::SeqCst);
+                }),
+                1 => f.on_ready(move |v| {
+                    assert_eq!(**v, 4);
+                    hits.fetch_add(1, Ordering::SeqCst);
+                }),
+                _ => {
+                    let all = when_all(&[f.clone(), f.clone()]);
+                    all.on_ready(move |vs| {
+                        assert_eq!(vs.len(), 2);
+                        hits.fetch_add(1, Ordering::SeqCst);
+                    });
+                    joins.push(all);
+                }
+            }
+        }
+        assert!(runs.iter().all(|h| h.load(Ordering::SeqCst) == 0));
+        p.set(4);
+        for (i, h) in runs.iter().enumerate() {
+            assert_eq!(h.load(Ordering::SeqCst), 1, "waiter {i}");
+        }
+        assert!(joins.iter().all(SharedFuture::is_ready));
+        let late = Arc::new(AtomicUsize::new(0));
+        let l = Arc::clone(&late);
+        f.on_settled(move |_| {
+            l.fetch_add(1, Ordering::SeqCst);
+        });
+        assert_eq!(late.load(Ordering::SeqCst), 1, "inline after the settle");
+        assert!(runs.iter().all(|h| h.load(Ordering::SeqCst) == 1));
+    }
+
+    /// A continuation attached while another thread settles runs exactly
+    /// once: either the settle's drain finds it or the attach sees the
+    /// published outcome, never both and never neither.
+    #[test]
+    fn on_settled_racing_settle_runs_once() {
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        for round in 0..10_000 {
+            let (p, f) = channel::<usize>();
+            let hits = Arc::new(AtomicUsize::new(0));
+            let b = Arc::clone(&barrier);
+            let setter = std::thread::spawn(move || {
+                b.wait();
+                p.set(round);
+            });
+            let h = Arc::clone(&hits);
+            barrier.wait();
+            f.on_settled(move |o| {
+                assert_eq!(**o.as_ref().unwrap(), round);
+                h.fetch_add(1, Ordering::SeqCst);
+            });
+            setter.join().unwrap();
+            assert_eq!(hits.load(Ordering::SeqCst), 1, "round {round}");
+        }
+    }
+
+    /// Every decision a [`Record`] join got, values unwrapped.
     type Calls = Arc<Mutex<Vec<Result<Vec<i32>, TaskError>>>>;
 
-    /// An `on_all_settled` continuation that records every call it gets.
-    fn recorder() -> (Calls, impl FnOnce(Join) + Send + 'static) {
+    /// A join continuation that records every call it gets.
+    struct Record(Calls);
+
+    impl Then<i32> for Record {
+        fn then(join: Arc<Join<i32, Self>>, joined: Result<(), TaskError>) {
+            let got = joined
+                .and_then(|()| join.values())
+                .map(|vs| vs.iter().map(|v| **v).collect());
+            join.then.0.lock().push(got);
+        }
+    }
+
+    fn recorder() -> (Calls, Record) {
         let calls: Calls = Arc::new(Mutex::new(Vec::new()));
-        let c = Arc::clone(&calls);
-        let k = move |joined: Join| {
-            c.lock()
-                .push(joined.map(|vs| vs.iter().map(|v| **v).collect()));
-        };
-        (calls, k)
+        (Arc::clone(&calls), Record(calls))
     }
 
     #[test]
-    fn on_all_settled_with_no_inputs_runs_at_once() {
+    fn join_with_no_inputs_runs_at_once() {
         let (calls, k) = recorder();
-        on_all_settled::<i32, _>(&[], k);
+        Join::<i32, _>::start(&[], k);
         assert_eq!(*calls.lock(), vec![Ok(vec![])]);
     }
 
     #[test]
-    fn on_all_settled_with_settled_inputs_runs_inline() {
+    fn join_with_settled_inputs_runs_inline() {
         let (calls, k) = recorder();
-        on_all_settled(&[SharedFuture::ready(1), SharedFuture::ready(2)], k);
+        Join::start(&[SharedFuture::ready(1), SharedFuture::ready(2)], k);
         assert_eq!(*calls.lock(), vec![Ok(vec![1, 2])]);
 
         let (calls, k) = recorder();
-        on_all_settled(
+        Join::start(
             &[
                 SharedFuture::ready(1),
                 SharedFuture::faulted(TaskError::Cancelled),
@@ -719,12 +925,12 @@ mod tests {
     }
 
     #[test]
-    fn on_all_settled_fault_after_values_runs_once() {
+    fn join_fault_after_values_runs_once() {
         let (p1, f1) = channel();
         let (p2, f2) = channel();
         let (p3, f3) = channel::<i32>();
         let (calls, k) = recorder();
-        on_all_settled(&[f1, f2, f3], k);
+        Join::start(&[f1, f2, f3], k);
         p1.set(1);
         p2.set(2);
         assert!(calls.lock().is_empty());
@@ -737,12 +943,12 @@ mod tests {
     }
 
     #[test]
-    fn on_all_settled_value_after_fault_runs_once() {
+    fn join_value_after_fault_runs_once() {
         let (p1, f1) = channel::<i32>();
         let (p2, f2) = channel();
         let (p3, f3) = channel::<i32>();
         let (calls, k) = recorder();
-        on_all_settled(&[f1, f2, f3], k);
+        Join::start(&[f1, f2, f3], k);
         p1.fail(TaskError::Cancelled);
         p2.set(2);
         p3.fail(TaskError::BrokenPromise);
@@ -756,12 +962,12 @@ mod tests {
     }
 
     #[test]
-    fn on_all_settled_concurrent_settlers_run_k_once() {
+    fn join_concurrent_settlers_run_k_once() {
         for round in 0..50 {
             let pairs: Vec<_> = (0..8).map(|_| channel::<i32>()).collect();
             let futures: Vec<_> = pairs.iter().map(|(_, f)| f.clone()).collect();
             let (calls, k) = recorder();
-            on_all_settled(&futures, k);
+            Join::start(&futures, k);
             let handles: Vec<_> = pairs
                 .into_iter()
                 .enumerate()

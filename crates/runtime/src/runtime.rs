@@ -1,10 +1,12 @@
 //! The runtime: worker pool, spawn paths, task context, termination.
 
+#![deny(clippy::unwrap_used)]
+
 use crate::fault::{TaskError, WatchdogConfig};
-use crate::future::{channel, on_all_settled, SharedFuture};
+use crate::future::{channel, Join, Promise, SharedFuture, TakeOnce, Then};
 use crate::group::{CancelToken, TaskGroup};
 use crate::scheduler::{Scheduler, SchedulerKind};
-use crate::task::{Poll, Priority, StagedTask, Task, TaskId, TaskIdAllocator, TaskState};
+use crate::task::{Frame, Poll, Priority, StagedTask, Task, TaskId, TaskIdAllocator, TaskState};
 use grain_counters::sync::{Condvar, Mutex};
 use grain_counters::threads::ThreadCounters;
 use grain_counters::{FaultPlan, RawCounter, Registry, Unit};
@@ -80,24 +82,42 @@ impl RuntimeConfig {
     }
 }
 
-/// Eventcount-style parking spot.
+/// Eventcount-style parking spot with one-sleeper wakes.
 ///
 /// `generation` closes the classic lost-wakeup window between a worker's
 /// final empty work search and its decision to sleep: a worker snapshots
 /// the generation *before* searching ([`Inner::park_ticket`]); every
 /// [`Inner::wake`] bumps it (whether or not anyone is asleep yet). At
 /// park time a stale ticket proves work may have arrived after the search
-/// started, so the worker aborts the park and searches again — checked
-/// both before and after taking the lock, so a wake that lands between
-/// "announce sleep" and "actually wait" can never be missed.
+/// started, so the worker aborts the park and searches again.
+///
+/// A wake wants one more worker running, so it claims one runnable
+/// sleeper and notifies one: `sleepers` counts runnable workers asleep on
+/// `cv` and not yet claimed, and a claim moves one of them into the
+/// lock-guarded `claimed` count that the woken worker consumes. Nobody
+/// parked means no lock and no syscall. Throttled workers sleep on their
+/// own condvar, so a spawn's claim never lands on a worker that may not
+/// take work; only [`Inner::wake_all`] (shutdown, throttle change, dead
+/// worker) reaches them.
 struct Parker {
-    lock: Mutex<()>,
+    /// Guards the claim hand-off; the `usize` is the number of claims
+    /// made on `cv` sleepers that no woken sleeper has consumed yet.
+    lock: Mutex<usize>,
+    /// Runnable workers parked for lack of work.
     cv: Condvar,
+    /// Throttled workers.
+    throttled: Condvar,
+    /// Runnable sleepers not yet claimed. Changed only under `lock`, read
+    /// lock-free by [`Inner::wake`]: a worker announces itself here
+    /// *before* its last generation check and a waker bumps the
+    /// generation *before* it reads this, so one of the two always sees
+    /// the other.
     sleepers: AtomicUsize,
     generation: AtomicUsize,
 }
 
-struct IdleGate {
+/// A lock and condvar pair: the idle latch and the watchdog's timer.
+struct Signal {
     lock: Mutex<()>,
     cv: Condvar,
 }
@@ -139,9 +159,9 @@ pub(crate) struct Inner {
     pub(crate) dead_workers: AtomicUsize,
     pub(crate) watchdog: WatchdogCounters,
     parker: Parker,
-    idle: IdleGate,
+    idle: Signal,
     /// Wakes the watchdog thread early (shutdown).
-    monitor: Parker,
+    monitor: Signal,
 }
 
 thread_local! {
@@ -282,75 +302,38 @@ impl Inner {
         R: Send + Sync + 'static,
     {
         let (promise, future) = channel();
-        let inner = Arc::clone(self);
         self.dormant.fetch_add(1, Ordering::SeqCst);
-        match group {
-            None => {
-                on_all_settled(deps, move |joined| {
-                    inner.dormant.fetch_sub(1, Ordering::SeqCst);
-                    match joined {
-                        Ok(vals) => {
-                            inner.spawn_once(priority, move |ctx| promise.set(f(ctx, vals)));
-                        }
-                        // The join already wrapped the input fault in a
-                        // Dependency cause — pass it along unchanged (one
-                        // wrap per dependency hop).
-                        Err(e) => promise.fail(e),
-                    }
-                });
-            }
-            Some(g) => {
-                g.enter();
-                let claimed = Arc::new(AtomicBool::new(false));
-                {
-                    let g = Arc::clone(&g);
-                    let claimed = Arc::clone(&claimed);
-                    let inner = Arc::clone(&inner);
-                    g.clone().on_cancel(move || {
+        let reservation = group.map(|g| {
+            g.enter();
+            let claimed = Arc::new(AtomicBool::new(false));
+            {
+                // The group stores the hook, so the hook holds the group
+                // weakly: a strong reference would be a cycle that keeps
+                // every group with a dataflow node alive forever. The
+                // group is alive whenever it runs its cancel hooks.
+                let group = Arc::downgrade(&g);
+                let claimed = Arc::clone(&claimed);
+                let inner = Arc::clone(self);
+                g.on_cancel(move || {
+                    if let Some(g) = group.upgrade() {
                         if !claimed.swap(true, Ordering::SeqCst) {
                             inner.dormant.fetch_sub(1, Ordering::SeqCst);
                             g.exit_skipped();
                         }
-                    });
-                }
-                on_all_settled(deps, move |joined| {
-                    if claimed.swap(true, Ordering::SeqCst) {
-                        // The cancel hook won the race and already retired
-                        // this reservation; settle the output so waiters
-                        // are not stranded.
-                        promise.fail(TaskError::Cancelled);
-                        return;
-                    }
-                    inner.dormant.fetch_sub(1, Ordering::SeqCst);
-                    if g.is_cancelled() {
-                        g.exit_skipped();
-                        promise.fail(TaskError::Cancelled);
-                        return;
-                    }
-                    match joined {
-                        Ok(vals) => {
-                            let id = inner.ids.allocate();
-                            // The reservation already entered the group;
-                            // hand it to the staged task without entering
-                            // again.
-                            inner.spawn_staged(
-                                StagedTask::once(id, priority, move |ctx| {
-                                    promise.set(f(ctx, vals))
-                                })
-                                .with_group(Some(g)),
-                            );
-                        }
-                        Err(e) => {
-                            // The node inherits its dependency's fault: it
-                            // never runs, the group records the fault, and
-                            // the output carries the cause chain onward.
-                            g.exit_faulted(e.clone());
-                            promise.fail(e);
-                        }
                     }
                 });
             }
-        }
+            (g, claimed)
+        });
+        Join::start(
+            deps,
+            Node {
+                inner: Arc::clone(self),
+                priority,
+                reservation,
+                body: TakeOnce::new((promise, f)),
+            },
+        );
         future
     }
 
@@ -380,55 +363,91 @@ impl Inner {
         self.parker.generation.load(Ordering::SeqCst)
     }
 
-    /// Wake sleeping workers. Always advances the generation first so a
-    /// worker between its final empty search and its park observes the
-    /// event through its stale ticket even though it is not asleep yet.
+    /// Signal that one more task is runnable: advance the generation (so
+    /// a worker between its final empty search and its park sees the
+    /// event through its stale ticket), then claim and notify one parked
+    /// runnable worker, if there is one. Under [`SchedulerKind::NoSteal`]
+    /// only the worker owning the queue can take the task, so every
+    /// sleeper is claimed instead.
     pub(crate) fn wake(&self) {
-        self.parker.generation.fetch_add(1, Ordering::SeqCst);
-        if self.parker.sleepers.load(Ordering::SeqCst) > 0 {
-            let _g = self.parker.lock.lock();
-            self.parker.cv.notify_all();
+        let p = &self.parker;
+        p.generation.fetch_add(1, Ordering::SeqCst);
+        if p.sleepers.load(Ordering::SeqCst) == 0 {
+            return;
         }
+        let mut claimed = p.lock.lock();
+        let n = p.sleepers.load(Ordering::SeqCst);
+        if n == 0 {
+            return;
+        }
+        if self.config.scheduler == SchedulerKind::NoSteal {
+            p.sleepers.store(0, Ordering::SeqCst);
+            *claimed += n;
+            p.cv.notify_all();
+        } else {
+            p.sleepers.store(n - 1, Ordering::SeqCst);
+            *claimed += 1;
+            p.cv.notify_one();
+        }
+    }
+
+    /// Wake every parked worker, throttled ones included: shutdown,
+    /// throttle-limit changes and dead workers change what *every* worker
+    /// should do next.
+    pub(crate) fn wake_all(&self) {
+        let p = &self.parker;
+        p.generation.fetch_add(1, Ordering::SeqCst);
+        let mut claimed = p.lock.lock();
+        *claimed += p.sleepers.swap(0, Ordering::SeqCst);
+        p.cv.notify_all();
+        p.throttled.notify_all();
     }
 
     /// Park the calling worker until woken or timed out — but only if no
     /// wake happened since `ticket` was taken, the queues still look
     /// empty, and shutdown has not begun.
     pub(crate) fn park(&self, ticket: usize) {
-        self.park_if(ticket, || self.scheduler.queues.total_len() == 0)
-    }
-
-    /// Park a *throttled* worker: same protocol, but queued work does not
-    /// keep it awake (it must not take any) — only a wake (generation
-    /// bump, e.g. from [`Runtime::set_active_workers`] or shutdown) or
-    /// the timeout gets it back up to re-check the throttle limit.
-    pub(crate) fn park_throttled(&self, ticket: usize) {
-        self.park_if(ticket, || true)
-    }
-
-    fn park_if(&self, ticket: usize, quiet: impl Fn() -> bool) {
-        self.parker.sleepers.fetch_add(1, Ordering::SeqCst);
-        // Re-check after announcing sleep: a stale ticket means a wake
-        // fired after our search started — the work it signalled may be
-        // work we already failed to find, so re-search instead of
-        // sleeping on it.
-        if self.parker.generation.load(Ordering::SeqCst) != ticket
-            || !quiet()
-            || self.shutdown.load(Ordering::SeqCst)
-        {
-            self.parker.sleepers.fetch_sub(1, Ordering::SeqCst);
+        let p = &self.parker;
+        if p.generation.load(Ordering::SeqCst) != ticket {
             return;
         }
-        let mut g = self.parker.lock.lock();
-        // Final check under the lock: `wake` bumps the generation before
-        // taking this lock to notify, so a bump observed here happened
-        // strictly before our wait — and one we don't observe will take
-        // the lock after us and its notify_all reaches our wait.
-        if self.parker.generation.load(Ordering::SeqCst) == ticket {
-            self.parker.cv.wait_for(&mut g, self.config.park_timeout);
+        let mut claimed = p.lock.lock();
+        // Announce, then re-check: a stale ticket means a wake fired
+        // after our search started — the work it signalled may be work we
+        // already failed to find, so re-search instead of sleeping on it.
+        // A wake we don't observe here reads our announcement and takes
+        // the lock after our wait released it, so its notify reaches us.
+        p.sleepers.fetch_add(1, Ordering::SeqCst);
+        if p.generation.load(Ordering::SeqCst) != ticket
+            || self.scheduler.queues.total_len() != 0
+            || self.shutdown.load(Ordering::SeqCst)
+        {
+            p.sleepers.fetch_sub(1, Ordering::SeqCst);
+            return;
         }
-        drop(g);
-        self.parker.sleepers.fetch_sub(1, Ordering::SeqCst);
+        p.cv.wait_for(&mut claimed, self.config.park_timeout);
+        // Up by a claim: consume one. Up by the timeout (or spuriously)
+        // with no claim pending: withdraw our own announcement. Which
+        // sleeper consumes which claim does not matter — every sleeper
+        // counted in `sleepers` or `claimed` is still to come through here.
+        if *claimed > 0 {
+            *claimed -= 1;
+        } else {
+            p.sleepers.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Park throttled worker `w` until [`wake_all`](Self::wake_all) or the
+    /// timeout, unless the limit already lets it work again or shutdown
+    /// began. Spawns do not wake it (it must not take work); the limit
+    /// and the shutdown flag are written before `wake_all` takes the
+    /// lock, so checking them under the lock cannot miss one.
+    pub(crate) fn park_throttled(&self, w: usize) {
+        let p = &self.parker;
+        let mut claimed = p.lock.lock();
+        if w >= self.active_limit.load(Ordering::SeqCst) && !self.shutdown.load(Ordering::SeqCst) {
+            p.throttled.wait_for(&mut claimed, self.config.park_timeout);
+        }
     }
 
     /// Block until no task is in flight (staged, pending, active or
@@ -472,6 +491,99 @@ impl Inner {
             }
         }
         true
+    }
+}
+
+/// A dataflow node: the continuation of the countdown [`Join`] over its
+/// inputs. Once the join decides `Ok`, the join `Arc` itself is queued as
+/// the node's task frame ([`crate::task::TaskBody::Node`]) and the body
+/// reads its inputs' values back when it runs — one allocation holds the
+/// inputs, the promise and the body from `dataflow` to completion.
+struct Node<R, F> {
+    inner: Arc<Inner>,
+    priority: Priority,
+    /// Grouped nodes: the group, and the claim flag the group's cancel
+    /// hook and the join race on — exactly one side retires the
+    /// reservation.
+    reservation: Option<(Arc<TaskGroup>, Arc<AtomicBool>)>,
+    body: TakeOnce<(Promise<R>, F)>,
+}
+
+impl<R, F> Node<R, F> {
+    /// Settle the node's output with `error` without running the body.
+    fn fail(&self, error: TaskError) {
+        if let Some((promise, _)) = self.body.take() {
+            promise.fail(error);
+        }
+    }
+}
+
+impl<T, R, F> Then<T> for Node<R, F>
+where
+    T: Send + Sync + 'static,
+    R: Send + Sync + 'static,
+    F: FnOnce(&mut TaskContext<'_>, Vec<Arc<T>>) -> R + Send + 'static,
+{
+    fn then(join: Arc<Join<T, Self>>, joined: Result<(), TaskError>) {
+        let node = &join.then;
+        let group = match &node.reservation {
+            Some((g, claimed)) => {
+                if claimed.swap(true, Ordering::SeqCst) {
+                    // The cancel hook won the race and already retired
+                    // this reservation; settle the output so waiters are
+                    // not stranded.
+                    node.fail(TaskError::Cancelled);
+                    return;
+                }
+                Some(g)
+            }
+            None => None,
+        };
+        node.inner.dormant.fetch_sub(1, Ordering::SeqCst);
+        if let Some(g) = group.filter(|g| g.is_cancelled()) {
+            g.exit_skipped();
+            node.fail(TaskError::Cancelled);
+            return;
+        }
+        match joined {
+            Ok(()) => {
+                // A grouped reservation already entered the group; the
+                // staged task takes it over without entering again.
+                let id = node.inner.ids.allocate();
+                let frame = Arc::clone(&join) as Arc<dyn Frame>;
+                let staged = StagedTask::node(id, node.priority, frame).with_group(group.cloned());
+                node.inner.spawn_staged(staged);
+            }
+            Err(e) => {
+                // The join already wrapped the input fault in a Dependency
+                // cause — pass it along unchanged (one wrap per hop). The
+                // node never runs; a group records the fault.
+                if let Some(g) = group {
+                    g.exit_faulted(e.clone());
+                }
+                node.fail(e);
+            }
+        }
+    }
+}
+
+impl<T, R, F> Frame for Join<T, Node<R, F>>
+where
+    T: Send + Sync + 'static,
+    R: Send + Sync + 'static,
+    F: FnOnce(&mut TaskContext<'_>, Vec<Arc<T>>) -> R + Send + 'static,
+{
+    fn run(&self, ctx: &mut TaskContext<'_>) {
+        if let Some((promise, f)) = self.then.body.take() {
+            match self.values() {
+                Ok(values) => promise.set(f(ctx, values)),
+                Err(e) => promise.fail(e),
+            }
+        }
+    }
+
+    fn discard(&self) {
+        drop(self.then.body.take());
     }
 }
 
@@ -658,7 +770,7 @@ impl Drop for WorkerDeathSentinel {
                 self.worker,
                 self.inner.in_flight.load(Ordering::SeqCst),
             );
-            self.inner.wake();
+            self.inner.wake_all();
             let _g = self.inner.idle.lock.lock();
             self.inner.idle.cv.notify_all();
         }
@@ -849,20 +961,19 @@ impl Runtime {
             dead_workers: AtomicUsize::new(0),
             watchdog,
             parker: Parker {
-                lock: Mutex::new(()),
+                lock: Mutex::new(0),
                 cv: Condvar::new(),
+                throttled: Condvar::new(),
                 sleepers: AtomicUsize::new(0),
                 generation: AtomicUsize::new(0),
             },
-            idle: IdleGate {
+            idle: Signal {
                 lock: Mutex::new(()),
                 cv: Condvar::new(),
             },
-            monitor: Parker {
+            monitor: Signal {
                 lock: Mutex::new(()),
                 cv: Condvar::new(),
-                sleepers: AtomicUsize::new(0),
-                generation: AtomicUsize::new(0),
             },
         });
         let threads = (0..config.workers)
@@ -1037,7 +1148,7 @@ impl Runtime {
     pub fn set_active_workers(&self, n: usize) {
         let n = n.clamp(1, self.num_workers());
         self.inner.active_limit.store(n, Ordering::SeqCst);
-        self.inner.wake();
+        self.inner.wake_all();
     }
 
     /// Current throttle limit (= `num_workers()` when unthrottled).
@@ -1068,7 +1179,7 @@ impl Drop for Runtime {
         self.inner.shutdown.store(true, Ordering::SeqCst);
         // Wake everyone repeatedly until all workers observed the flag.
         for t in self.threads.drain(..) {
-            self.inner.wake();
+            self.inner.wake_all();
             let _ = t.join();
         }
         if let Some(t) = self.watchdog_thread.take() {
@@ -1077,5 +1188,52 @@ impl Drop for Runtime {
             drop(_g);
             let _ = t.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Spin until exactly `n` runnable workers are parked and unclaimed.
+    fn until_parked(rt: &Runtime, n: usize) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while rt.inner.parker.sleepers.load(Ordering::SeqCst) != n {
+            assert!(Instant::now() < deadline, "workers never parked");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Rounds of "every runnable worker is parked, then an external spawn
+    /// must complete". The park timeout is 10 s, so a swallowed wake shows
+    /// as a round over the 1 s bound instead of a 200 µs blip.
+    fn parked_workers_wake_for_an_external_spawn(workers: usize, active: usize) {
+        let mut cfg = RuntimeConfig::with_workers(workers);
+        cfg.park_timeout = Duration::from_secs(10);
+        let rt = Runtime::new(cfg);
+        rt.set_active_workers(active);
+        for round in 0..500u32 {
+            until_parked(&rt, active);
+            let t0 = Instant::now();
+            let f = rt.async_call(move |_| round);
+            match f.wait_timeout(Duration::from_secs(1)) {
+                Ok(v) => assert_eq!(*v, round),
+                Err(e) => panic!("round {round}: {e} — a parked worker slept through the spawn"),
+            }
+            assert!(t0.elapsed() < Duration::from_secs(1), "round {round}");
+            rt.wait_idle();
+        }
+    }
+
+    #[test]
+    fn parked_workers_never_swallow_a_wake() {
+        parked_workers_wake_for_an_external_spawn(2, 2);
+    }
+
+    /// With one of two workers throttled, only the active one may take the
+    /// claim — even when the task lands on the throttled worker's queue.
+    #[test]
+    fn a_throttled_worker_never_swallows_a_wake() {
+        parked_workers_wake_for_an_external_spawn(2, 1);
     }
 }

@@ -19,6 +19,8 @@
 //! resumed later. The scheduler is cooperative: nothing preempts an
 //! active task.
 
+#![deny(clippy::unwrap_used)]
+
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -105,13 +107,40 @@ pub enum Poll {
 /// `task-slab` feature, spawn paths store small bodies in recycled
 /// generation-tagged slots instead ([`crate::slab`]); oversize bodies
 /// still fall back to `Heap`. Both variants execute identically — the
-/// feature changes allocator traffic, never semantics.
+/// feature changes allocator traffic, never semantics. A dataflow node
+/// needs neither: the join that collected its inputs is its frame.
 pub enum TaskBody {
     /// `Box`ed closure (default path, and the slab's oversize fallback).
     Heap(Box<dyn FnMut(&mut crate::runtime::TaskContext<'_>) -> Poll + Send>),
+    /// A dataflow node: the shared join frame runs as the task itself.
+    Node(NodeFrame),
     /// Closure in a pooled, generation-tagged slot.
     #[cfg(feature = "task-slab")]
     Pooled(crate::slab::PooledBody),
+}
+
+/// A one-phase task frame shared with the join that queued it.
+pub(crate) trait Frame: Send + Sync {
+    /// Run the task's only phase.
+    fn run(&self, ctx: &mut crate::runtime::TaskContext<'_>);
+    /// Drop whatever the frame still owns (the body and its promise), on
+    /// this thread. A no-op once [`run`](Self::run) took it.
+    fn discard(&self);
+}
+
+/// The task's handle on a shared dataflow frame ([`TaskBody::Node`]).
+///
+/// Dropping it discards the frame's body on the dropping thread even if
+/// some other thread still holds a reference to the join for a moment:
+/// a node skipped by cancellation or disposed after a panic must fault
+/// its future under *that* thread's drop reason, not as a broken promise
+/// wherever the last reference happens to go.
+pub struct NodeFrame(std::sync::Arc<dyn Frame>);
+
+impl Drop for NodeFrame {
+    fn drop(&mut self) {
+        self.0.discard();
+    }
 }
 
 impl TaskBody {
@@ -120,6 +149,10 @@ impl TaskBody {
     pub fn call(&mut self, ctx: &mut crate::runtime::TaskContext<'_>) -> Poll {
         match self {
             TaskBody::Heap(b) => b(ctx),
+            TaskBody::Node(node) => {
+                node.0.run(ctx);
+                Poll::Complete
+            }
             #[cfg(feature = "task-slab")]
             TaskBody::Pooled(p) => p.call(ctx),
         }
@@ -188,6 +221,16 @@ impl StagedTask {
             id,
             priority,
             body: TaskBody::erase(id, body),
+            group: None,
+        }
+    }
+
+    /// Create a staged dataflow node whose body is its shared join frame.
+    pub(crate) fn node(id: TaskId, priority: Priority, frame: std::sync::Arc<dyn Frame>) -> Self {
+        Self {
+            id,
+            priority,
+            body: TaskBody::Node(NodeFrame(frame)),
             group: None,
         }
     }
@@ -287,6 +330,7 @@ impl fmt::Debug for Task {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

@@ -55,7 +55,7 @@ pub(crate) fn worker_loop(inner: Arc<Inner>, w: usize) {
             }
             // Throttled: park without taking work; throttled time is
             // deliberate and never charged as starvation.
-            inner.park_throttled(ticket);
+            inner.park_throttled(w);
             mark = Instant::now();
             clock.discontinuity();
             failed_rounds = 0;

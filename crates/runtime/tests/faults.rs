@@ -144,6 +144,72 @@ fn cancelled_group_faults_skipped_futures_with_cancelled() {
     rt.wait_idle();
 }
 
+/// A dataflow node queued as its own task frame, then skipped at
+/// dispatch because its group was cancelled: the frame is dropped unrun,
+/// and its future must fault with the skip's reason (`Cancelled`), not as
+/// a broken promise.
+#[test]
+fn dataflow_frame_dropped_unrun_faults_with_cancelled() {
+    let rt = Runtime::new(RuntimeConfig::with_workers(1));
+    let group = TaskGroup::new();
+    let started = Arc::new(AtomicBool::new(false));
+    let gate = Arc::new(AtomicBool::new(false));
+    let (s, g) = (Arc::clone(&started), Arc::clone(&gate));
+    rt.spawn_in(&group, Priority::Normal, move |_| {
+        s.store(true, Ordering::SeqCst);
+        while !g.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+    });
+    while !started.load(Ordering::SeqCst) {
+        std::thread::yield_now();
+    }
+    // Inputs already settled: the join decides at once and queues the
+    // node behind the pinned worker, so the cancel hook finds it claimed.
+    let ran = Arc::new(AtomicBool::new(false));
+    let r = Arc::clone(&ran);
+    let inputs = [grain_runtime::SharedFuture::ready(1u32)];
+    let node = rt.dataflow_in(&group, Priority::Normal, &inputs, move |_, v| {
+        r.store(true, Ordering::SeqCst);
+        *v[0]
+    });
+    group.cancel();
+    gate.store(true, Ordering::SeqCst);
+    assert_eq!(node.wait(), Err(TaskError::Cancelled));
+    assert!(!ran.load(Ordering::SeqCst), "a skipped node never runs");
+    assert!(group.wait_timeout(Duration::from_secs(5)));
+    assert_eq!(group.skipped(), 1);
+    rt.wait_idle();
+}
+
+/// A node whose inputs settle values first and a fault last inherits the
+/// fault wrapped exactly once, whichever input order the values took.
+#[test]
+fn dataflow_fault_after_partial_values_wraps_once() {
+    let rt = two_workers();
+    for faulty in 0..3 {
+        let pairs: Vec<_> = (0..3).map(|_| channel::<u32>()).collect();
+        let inputs: Vec<_> = pairs.iter().map(|(_, f)| f.clone()).collect();
+        let node = rt.dataflow(&inputs, |_, v| v.len());
+        let mut fault = None;
+        for (i, (p, _)) in pairs.into_iter().enumerate() {
+            if i == faulty {
+                fault = Some(p);
+            } else {
+                p.set(i as u32);
+            }
+        }
+        assert!(!node.is_ready(), "two values of three decide nothing");
+        fault
+            .expect("one faulty input")
+            .fail(TaskError::BrokenPromise);
+        let err = node.wait().expect_err("the fault must reach the node");
+        assert_eq!(err.chain_len(), 1, "one wrap, got {err}");
+        assert_eq!(err.root_cause(), &TaskError::BrokenPromise);
+    }
+    rt.wait_idle();
+}
+
 #[test]
 fn watchdog_reports_a_dependency_cycle() {
     let rt = Runtime::new(RuntimeConfig {

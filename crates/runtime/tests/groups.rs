@@ -253,3 +253,29 @@ fn cancel_token_outlives_context() {
     assert!(token.is_cancelled(), "token clones observe group cancel");
     rt.wait_idle();
 }
+
+/// A grouped dataflow node registers a cancel hook on its group; once the
+/// group has run its course and every handle is gone, the group must be
+/// freed — the hook may not keep its own group alive.
+#[test]
+fn grouped_dataflow_does_not_keep_its_group_alive() {
+    let rt = Runtime::with_workers(2);
+    let group = TaskGroup::new();
+    let weak = Arc::downgrade(&group);
+    let root = rt.async_in(&group, Priority::Normal, |_| 1u32);
+    let node = rt.dataflow_in(&group, Priority::Normal, &[root], |_, v| *v[0] + 1);
+    assert_eq!(*node.get(), 2);
+    assert!(group.wait_timeout(Duration::from_secs(5)));
+    rt.wait_idle();
+    drop(group);
+    // A worker may still hold the group for a moment after retiring its
+    // last member; a leak never lets go.
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while weak.strong_count() > 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the group outlived every handle"
+        );
+        std::thread::yield_now();
+    }
+}

@@ -428,6 +428,7 @@ mod tests {
         let mut q = FairQueues::new();
         let dead = core(0, "a");
         dead.finish(crate::job::JobState::Cancelled);
+        dead.publish();
         q.push(dead, 1);
         q.push(core(1, "a"), 1);
         let got = q.pop_next(|_| true).unwrap();
@@ -443,6 +444,7 @@ mod tests {
         q.push(Arc::clone(&dead), 1);
         q.push(core(2, "a"), 1);
         dead.finish(crate::job::JobState::Cancelled);
+        dead.publish();
         assert_eq!(q.len(), 3, "terminal entries linger until reaped");
         assert_eq!(q.reap_terminal(), 1);
         assert_eq!(q.len(), 2, "len no longer counts the terminal entry");

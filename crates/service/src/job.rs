@@ -288,6 +288,26 @@ impl JobSpec {
 /// on each attempt.
 pub type JobBody = Box<dyn FnMut(&mut TaskContext<'_>) + Send>;
 
+/// A job's lifecycle state, split so that a terminal transition can be
+/// decided (exactly once) before it becomes visible to clients.
+struct Status {
+    /// The state clients observe: [`JobHandle::state`],
+    /// [`JobHandle::outcome`] and the blocking waits.
+    published: JobState,
+    /// A terminal state already decided, whose bookkeeping (counters,
+    /// budget, policy hook) is still running; [`JobCore::publish`] makes
+    /// it the published state.
+    deciding: Option<JobState>,
+}
+
+impl Status {
+    /// The state the service acts on: a decided terminal state counts
+    /// even before it is published.
+    fn current(&self) -> JobState {
+        self.deciding.unwrap_or(self.published)
+    }
+}
+
 /// Shared state of one job. Internal; clients hold a [`JobHandle`].
 pub(crate) struct JobCore {
     pub(crate) id: JobId,
@@ -296,7 +316,7 @@ pub(crate) struct JobCore {
     pub(crate) counters: JobCounters,
     /// Admission budget cost (`spec.estimated_tasks.max(1)`).
     pub(crate) cost: u64,
-    state: Mutex<JobState>,
+    state: Mutex<Status>,
     state_cv: Condvar,
     pub(crate) cancel_requested: AtomicBool,
     pub(crate) timed_out: AtomicBool,
@@ -337,7 +357,10 @@ impl JobCore {
             group,
             counters,
             cost,
-            state: Mutex::new(JobState::Queued),
+            state: Mutex::new(Status {
+                published: JobState::Queued,
+                deciding: None,
+            }),
             state_cv: Condvar::new(),
             cancel_requested: AtomicBool::new(false),
             timed_out: AtomicBool::new(false),
@@ -358,19 +381,27 @@ impl JobCore {
         format!("{}#{}", self.spec.name, self.id.0)
     }
 
+    /// The state the service acts on (a decided terminal state counts).
     pub(crate) fn state(&self) -> JobState {
-        *self.state.lock()
+        self.state.lock().current()
+    }
+
+    /// The state clients observe: a terminal state shows only once its
+    /// bookkeeping is done ([`publish`](Self::publish)).
+    pub(crate) fn published_state(&self) -> JobState {
+        self.state.lock().published
     }
 
     /// Non-terminal transition; wakes waiters. A job that already
-    /// reached a terminal state is left alone — waiters may have
-    /// observed that state, and it can never be un-terminalized.
+    /// reached (or is settling into) a terminal state is left alone —
+    /// waiters may have observed that state, and it can never be
+    /// un-terminalized.
     pub(crate) fn set_state(&self, to: JobState) {
         let mut g = self.state.lock();
-        if g.is_terminal() {
+        if g.current().is_terminal() {
             return;
         }
-        *g = to;
+        g.published = to;
         self.state_cv.notify_all();
     }
 
@@ -381,80 +412,75 @@ impl JobCore {
     /// waited); such a job must not be started or charged any budget.
     pub(crate) fn try_admit(&self) -> bool {
         let mut g = self.state.lock();
-        if *g != JobState::Queued {
+        if g.current() != JobState::Queued {
             return false;
         }
-        *g = JobState::Admitted;
+        g.published = JobState::Admitted;
         self.state_cv.notify_all();
         true
     }
 
-    /// Terminal transition `Queued → to` iff the job is still `Queued`,
-    /// atomic with respect to [`try_admit`](Self::try_admit). Does not
-    /// wake waiters — the winner finishes its bookkeeping first, then
-    /// calls [`notify_waiters`](Self::notify_waiters).
+    /// Decide terminal state `to` iff the job is still `Queued`, atomic
+    /// with respect to [`try_admit`](Self::try_admit). Clients do not see
+    /// it yet — the winner finishes its bookkeeping first, then calls
+    /// [`publish`](Self::publish).
     pub(crate) fn finish_if_queued(&self, to: JobState) -> bool {
         debug_assert!(to.is_terminal());
         let mut g = self.state.lock();
-        if *g != JobState::Queued {
+        if g.current() != JobState::Queued {
             return false;
         }
-        *g = to;
+        g.deciding = Some(to);
         *self.finished_at.lock() = Some(Instant::now());
         true
     }
 
-    /// Transition to terminal state `to` unless already terminal. Returns
-    /// true if this call performed the transition — the winner does the
-    /// terminal bookkeeping (counters, budget release) exactly once.
+    /// Decide terminal state `to` unless one is already decided. Returns
+    /// true if this call made the decision — the winner does the
+    /// terminal bookkeeping (counters, budget release) exactly once and
+    /// then calls [`publish`](Self::publish), so a returning
+    /// [`JobHandle::wait`] or a terminal [`JobHandle::outcome`] always
+    /// observes fully settled counters.
     pub(crate) fn finish(&self, to: JobState) -> bool {
-        let won = self.finish_quiet(to);
-        if won {
-            self.notify_waiters();
-        }
-        won
-    }
-
-    /// [`finish`](Self::finish) without waking waiters: the winner does
-    /// its bookkeeping first and calls
-    /// [`notify_waiters`](Self::notify_waiters) after, so a returning
-    /// [`JobHandle::wait`] always observes fully settled counters.
-    pub(crate) fn finish_quiet(&self, to: JobState) -> bool {
         debug_assert!(to.is_terminal());
         let mut g = self.state.lock();
-        if g.is_terminal() {
+        if g.current().is_terminal() {
             return false;
         }
-        *g = to;
+        g.deciding = Some(to);
         *self.finished_at.lock() = Some(Instant::now());
         true
     }
 
-    /// Wake everyone blocked in `wait_terminal*`.
-    pub(crate) fn notify_waiters(&self) {
-        let _g = self.state.lock();
+    /// Make the decided terminal state visible and wake everyone blocked
+    /// in `wait_terminal*`.
+    pub(crate) fn publish(&self) {
+        let mut g = self.state.lock();
+        if let Some(state) = g.deciding.take() {
+            g.published = state;
+        }
         self.state_cv.notify_all();
     }
 
     pub(crate) fn wait_terminal(&self) -> JobState {
         let mut g = self.state.lock();
-        while !g.is_terminal() {
+        while !g.published.is_terminal() {
             self.state_cv.wait(&mut g);
         }
-        *g
+        g.published
     }
 
     pub(crate) fn wait_terminal_timeout(&self, timeout: Duration) -> Option<JobState> {
         let deadline = Instant::now() + timeout;
         let mut g = self.state.lock();
-        while !g.is_terminal() {
+        while !g.published.is_terminal() {
             let now = Instant::now();
             if now >= deadline {
                 return None;
             }
             self.state_cv.wait_for(&mut g, deadline - now);
         }
-        Some(*g)
+        Some(g.published)
     }
 
     /// Submission-to-finish latency (up to now for non-terminal jobs).
@@ -560,9 +586,10 @@ impl JobHandle {
         self.core.instance()
     }
 
-    /// Current lifecycle state.
+    /// Current lifecycle state. A terminal state shows only once the
+    /// service has finished the job's bookkeeping.
     pub fn state(&self) -> JobState {
-        self.core.state()
+        self.core.published_state()
     }
 
     /// Why admission refused the job, if it was rejected.
@@ -607,7 +634,7 @@ impl JobHandle {
             // the group before waking waiters so the outcome they read
             // is fully settled.
             self.core.group.cancel();
-            self.core.notify_waiters();
+            self.core.publish();
             return;
         }
         if !self.core.state().is_terminal() {
@@ -630,7 +657,7 @@ impl JobHandle {
 
     /// The outcome if the job already finished, else `None`.
     pub fn outcome(&self) -> Option<JobOutcome> {
-        let state = self.core.state();
+        let state = self.core.published_state();
         state.is_terminal().then(|| self.core.outcome_now(state))
     }
 
@@ -653,7 +680,7 @@ impl fmt::Debug for JobHandle {
             .field("id", &self.core.id)
             .field("name", &self.core.spec.name)
             .field("tenant", &self.core.spec.tenant)
-            .field("state", &self.core.state())
+            .field("state", &self.core.published_state())
             .finish()
     }
 }
@@ -726,7 +753,14 @@ mod tests {
             Box::new(|_| {}),
         );
         assert!(core.finish(JobState::Cancelled));
+        assert_eq!(core.state(), JobState::Cancelled, "decided");
+        assert_eq!(core.published_state(), JobState::Queued, "not yet shown");
+        assert!(
+            !core.finish(JobState::Completed),
+            "already decided, even unpublished"
+        );
+        core.publish();
         assert!(!core.finish(JobState::Completed), "already terminal");
-        assert_eq!(core.state(), JobState::Cancelled);
+        assert_eq!(core.published_state(), JobState::Cancelled);
     }
 }

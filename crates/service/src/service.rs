@@ -274,6 +274,7 @@ impl JobService {
         *core.rejection.lock() = Some(why);
         if core.finish(JobState::Rejected) {
             self.shared.counters.rejected.incr();
+            core.publish();
         }
     }
 
@@ -394,7 +395,7 @@ fn settle(shared: &Shared, core: &Arc<JobCore>) {
     } else {
         JobState::Completed
     };
-    if !core.finish_quiet(state) {
+    if !core.finish(state) {
         return; // someone else settled it first
     }
     let probe = core.probe.swap(false, Ordering::SeqCst);
@@ -424,16 +425,19 @@ fn settle(shared: &Shared, core: &Arc<JobCore>) {
         .turnaround
         .record(core.turnaround().as_nanos() as u64);
     shared.budget_in_use.fetch_sub(core.cost, Ordering::SeqCst);
-    shared.running.lock().retain(|c| !Arc::ptr_eq(c, core));
-    shared.dispatch_cv.notify_all();
     // Policy observation with no locks held and every counter settled,
     // before waiters wake — a submitter unblocked by wait() already
     // sees any grain adjustment this outcome caused.
     if let Some(hook) = &shared.config.policy {
         hook.call(&core.spec, &core.outcome_now(state));
     }
-    // Waiters wake only now, with every counter above already settled.
-    core.notify_waiters();
+    // Waiters see the terminal state only now, with every counter above
+    // already settled; `wait_all`, which watches the running list, only
+    // once they can. The dispatcher is woken last, once the job has left
+    // the running list its shutdown drain waits to see empty.
+    core.publish();
+    shared.running.lock().retain(|c| !Arc::ptr_eq(c, core));
+    shared.dispatch_cv.notify_all();
 }
 
 /// If the faulted job's policy allows another attempt, reset its fault
@@ -496,7 +500,7 @@ fn shed_job(shared: &Shared, core: &Arc<JobCore>, now: Instant) {
     if core.finish_if_queued(JobState::Rejected) {
         shared.counters.shed.incr();
         core.group.cancel();
-        core.notify_waiters();
+        core.publish();
     } else {
         // Lost the race to a concurrent cancel or admission between the
         // pick and here; don't leave a stale reason behind.
@@ -517,12 +521,14 @@ fn dispatcher_loop(shared: Arc<Shared>) {
                 if core.group.first_fault().is_some() {
                     if core.finish(JobState::Failed) {
                         shared.counters.failed.incr();
+                        core.publish();
                     }
                     continue;
                 }
                 *core.rejection.lock() = Some(AdmissionError::ShuttingDown);
                 if core.finish(JobState::Rejected) {
                     shared.counters.rejected.incr();
+                    core.publish();
                 }
             }
             if shared.running.lock().is_empty() {
@@ -602,6 +608,7 @@ fn dispatcher_loop(shared: Arc<Shared>) {
                 core.group.cancel();
                 if core.finish(JobState::TimedOut) {
                     shared.counters.timed_out.incr();
+                    core.publish();
                 }
                 // The queue entry is reaped as a terminal head later.
             }

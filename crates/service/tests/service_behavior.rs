@@ -3,7 +3,8 @@
 
 use grain_counters::sync::Mutex;
 use grain_service::{
-    AdmissionConfig, AdmissionError, JobService, JobSpec, JobState, RejectReason, ServiceConfig,
+    AdmissionConfig, AdmissionError, JobService, JobSpec, JobState, PolicyHook, RejectReason,
+    ServiceConfig,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -511,5 +512,40 @@ fn dropping_the_service_mid_flight_tears_down_on_the_dropping_thread() {
         // Drop with jobs in every stage: queued, running, settling.
         drop(service);
         drop(handles);
+    }
+}
+
+/// A terminal state is visible only after the settle's bookkeeping: the
+/// first poll that sees a job terminal must also see its service counter
+/// and its policy-hook call. The hook sleeps to hold the window between
+/// the terminal decision and its publication wide open; every round
+/// polls through it, so a state published early fails the first round.
+#[test]
+fn terminal_state_is_published_after_the_bookkeeping() {
+    let hooked = Arc::new(AtomicU64::new(0));
+    let h = Arc::clone(&hooked);
+    let config = ServiceConfig {
+        policy: Some(PolicyHook::new(move |_, _| {
+            std::thread::sleep(Duration::from_micros(300));
+            h.fetch_add(1, Ordering::SeqCst);
+        })),
+        ..single_worker_config()
+    };
+    let service = JobService::new(config);
+    let counters = service.counters();
+    for round in 1..=100u64 {
+        let job = service.submit(JobSpec::new("j", "a"), |ctx| {
+            ctx.spawn(|_| {});
+        });
+        let outcome = loop {
+            if let Some(outcome) = job.outcome() {
+                break outcome;
+            }
+            std::hint::spin_loop();
+        };
+        assert_eq!(outcome.state, JobState::Completed);
+        assert_eq!(hooked.load(Ordering::SeqCst), round, "hook had not run");
+        assert_eq!(counters.completed.get(), round, "completed not counted");
+        assert_eq!(job.wait(), outcome);
     }
 }

@@ -219,13 +219,15 @@ echo "==> unwrap-free hot paths"
 # The task-body slab joins: it holds every pooled task frame, so an
 # unwrap there corrupts spawns across all workers at once.
 # The future cell joins: its settle path and the countdown join run on
-# every worker for every dataflow node.
+# every worker for every dataflow node. So do the runtime's spawn, wake
+# and park paths and the task frame, which every node passes through.
 # The autotune crate and the strategy engines join: the policy hook and
 # counter closures run inside the service's settle path and the stats
 # sampler — a panic there turns a mis-tuned grain into a dead dispatcher.
 for f in crates/runtime/src/worker.rs crates/runtime/src/queue.rs \
     crates/runtime/src/slab.rs crates/runtime/src/future.rs \
-    crates/runtime/src/scheduler.rs crates/service/src/service.rs \
+    crates/runtime/src/scheduler.rs crates/runtime/src/runtime.rs \
+    crates/runtime/src/task.rs crates/service/src/service.rs \
     crates/service/src/admission.rs crates/service/src/pressure.rs \
     crates/net/src/parcelport.rs crates/net/src/codec.rs \
     crates/net/src/locality.rs crates/net/src/transport.rs \
